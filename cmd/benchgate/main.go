@@ -26,6 +26,12 @@
 // that matter (which run tens of milliseconds to seconds) while making
 // the ~1ms warm-repair cells immune to jitter.
 //
+// Memory cells (a nonzero peak_bytes, e.g. "open-stream-1M-peak") are
+// gated as memory: new peak bytes must stay within -tol of the base, with
+// neither the seconds -floor nor the -norm machine-speed factor applied.
+// Reports written before peak_bytes existed (BENCH_8) stored that cell's
+// bytes in ns_op; the loader reads them from there.
+//
 // Usage:
 //
 //	benchgate -base BENCH_1.json -new BENCH_2.json [-tol 1.3] [-norm] [-floor 0.005]
@@ -49,7 +55,20 @@ type cell struct {
 	T         float64        `json:"t"`
 	N         int            `json:"n"`
 	Variant   string         `json:"variant"`
+	NsOp      int64          `json:"ns_op"`
 	Seconds   float64        `json:"seconds"`
+	PeakBytes uint64         `json:"peak_bytes"`
+}
+
+// legacyPeakVariant is the memory cell that reports predating peak_bytes
+// recorded with its bytes in ns_op.
+const legacyPeakVariant = "open-stream-1M-peak"
+
+// measure is one cell's gated value: wall seconds, or peak heap bytes for
+// a memory cell.
+type measure struct {
+	value  float64
+	memory bool
 }
 
 type report struct {
@@ -65,7 +84,7 @@ type key struct {
 	variant string
 }
 
-func load(path string) (map[key]float64, error) {
+func load(path string) (map[key]measure, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -74,13 +93,20 @@ func load(path string) (map[key]float64, error) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	cells := make(map[key]float64, len(rep.Cells))
+	cells := make(map[key]measure, len(rep.Cells))
 	for _, c := range rep.Cells {
 		n := c.N
 		if n == 0 {
 			n = rep.N // pre--full reports carried the size at report level
 		}
-		cells[key{alg: c.Algorithm, k: c.K, t: c.T, n: n, variant: c.Variant}] = c.Seconds
+		m := measure{value: c.Seconds}
+		switch {
+		case c.PeakBytes > 0:
+			m = measure{value: float64(c.PeakBytes), memory: true}
+		case c.Variant == legacyPeakVariant:
+			m = measure{value: float64(c.NsOp), memory: true}
+		}
+		cells[key{alg: c.Algorithm, k: c.K, t: c.T, n: n, variant: c.Variant}] = m
 	}
 	return cells, nil
 }
@@ -130,14 +156,16 @@ func main() {
 	})
 
 	// The machine-speed factor under -norm: the median new/base ratio over
-	// shared cells. A uniform shift (slower evidence host) lands entirely in
-	// the median; a single cell regressing relative to its peers does not.
+	// shared timing cells. A uniform shift (slower evidence host) lands
+	// entirely in the median; a single cell regressing relative to its peers
+	// does not.
 	scale := 1.0
 	if *norm {
 		var ratios []float64
 		for _, k := range keys {
-			if nw, ok := newCells[k]; ok && baseCells[k] > 0 {
-				ratios = append(ratios, nw/baseCells[k])
+			b := baseCells[k]
+			if nw, ok := newCells[k]; ok && !b.memory && !nw.memory && b.value > 0 {
+				ratios = append(ratios, nw.value/b.value)
 			}
 		}
 		if len(ratios) > 0 {
@@ -158,21 +186,37 @@ func main() {
 			continue // cell not measured in the candidate (e.g. new sizes only)
 		}
 		compared++
-		limit := b * scale * *tol
-		if withGrace := b*scale + *floor; withGrace > limit {
-			limit = withGrace
-		}
-		verdict := "ok"
-		if nw > limit {
-			verdict = "REGRESSED"
-			failed++
-		}
 		label := k.alg.String()
 		if k.variant != "" {
 			label += "/" + k.variant
 		}
+		if b.memory != nw.memory {
+			fmt.Printf("%-33s k=%d t=%.2f n=%-6d memory cell in one report, timing cell in the other MISMATCH\n",
+				label, k.k, k.t, k.n)
+			failed++
+			continue
+		}
+		var limit float64
+		if b.memory {
+			limit = b.value * *tol
+		} else {
+			limit = b.value * scale * *tol
+			if withGrace := b.value*scale + *floor; withGrace > limit {
+				limit = withGrace
+			}
+		}
+		verdict := "ok"
+		if nw.value > limit {
+			verdict = "REGRESSED"
+			failed++
+		}
+		if b.memory {
+			fmt.Printf("%-33s k=%d t=%.2f n=%-6d base=%7.1fMiB new=%7.1fMiB (%.2fx) %s\n",
+				label, k.k, k.t, k.n, b.value/(1<<20), nw.value/(1<<20), nw.value/b.value, verdict)
+			continue
+		}
 		fmt.Printf("%-33s k=%d t=%.2f n=%-6d base=%8.3fs new=%8.3fs (%.2fx) %s\n",
-			label, k.k, k.t, k.n, b, nw, nw/b, verdict)
+			label, k.k, k.t, k.n, b.value, nw.value, nw.value/b.value, verdict)
 	}
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no comparable cells between the two reports")

@@ -62,15 +62,18 @@ import (
 // empty for the classic from-scratch grid; the delta-append family labels
 // its cells "delta-cold" and "delta-warm", the sharded family
 // "sharded-w<workers>" (reports written before a family existed simply
-// have no cells with its variants).
+// have no cells with its variants). A timing cell records its wall time in
+// NsOp and Seconds; a memory cell ("open-stream-1M-peak") records its
+// sampled peak heap in PeakBytes and leaves both time fields out.
 type Cell struct {
 	Algorithm core.Algorithm `json:"algorithm"`
 	K         int            `json:"k"`
 	T         float64        `json:"t"`
 	N         int            `json:"n,omitempty"`
 	Variant   string         `json:"variant,omitempty"`
-	NsOp      int64          `json:"ns_op"`
-	Seconds   float64        `json:"seconds"`
+	NsOp      int64          `json:"ns_op,omitempty"`
+	Seconds   float64        `json:"seconds,omitempty"`
+	PeakBytes uint64         `json:"peak_bytes,omitempty"`
 }
 
 // Report is the emitted document.
@@ -285,11 +288,10 @@ func main() {
 // measureStore times the ingest-1M, reopen-1M and open-stream-1M cells.
 // The cells carry the grid's canonical (algorithm, k, t) point purely as
 // a stable cell key — no anonymization runs; only the store is timed.
-// The open-stream-1M-peak cell abuses the schema on purpose: ns_op holds
-// the sampled peak heap in bytes (seconds mirrors it in MiB), recording
-// the out-of-core contract — peak tracks substrate plus chunk budget,
-// never a second full copy of the raw table — in the same evidence
-// trajectory as the timings.
+// The open-stream-1M-peak cell is a memory cell: peak_bytes holds the
+// sampled peak heap, recording the out-of-core contract — peak tracks
+// substrate plus chunk budget, never a second full copy of the raw table —
+// in the same evidence trajectory as the timings.
 func measureStore(rows, reps int) ([]Cell, error) {
 	scratch, err := os.MkdirTemp("", "benchjson-store-*")
 	if err != nil {
@@ -425,8 +427,7 @@ func measureStore(rows, reps int) ([]Cell, error) {
 	}
 	cells = append(cells, Cell{
 		Algorithm: core.Merge, K: 2, T: 0.13, N: rows,
-		Variant: "open-stream-1M-peak",
-		NsOp:    int64(peakBytes), Seconds: float64(peakBytes) / (1 << 20),
+		Variant: "open-stream-1M-peak", PeakBytes: peakBytes,
 	})
 	fmt.Fprintf(os.Stderr, "store n=%d open-stream-1M-peak: %d MiB\n", rows, peakBytes>>20)
 	return cells, nil

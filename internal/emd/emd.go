@@ -28,11 +28,14 @@
 // cluster, C is constant, so dev is a nonincreasing affine function of the
 // precomputed data set prefix QC and its absolute sum over the run has a
 // closed form around a binary-searched zero crossing. A histogram therefore
-// maintains only its sorted list of occupied bins, and one full EMD — or one
+// stores only its occupied bins and their counts, and one full EMD — or one
 // virtual same-size swap, the inner-loop query of Algorithm 2 — costs
 // O(occ·log m) instead of O(m), where occ ≤ min(s, m) is the number of
-// occupied bins. Exactness makes the incremental results bit-identical to
-// the batch recomputation, so caller tie-breaking is unaffected.
+// occupied bins. Memory follows the same bound: a histogram holds O(occ)
+// words whatever the domain size m, even on an attribute with as many
+// distinct values as records. Exactness makes the incremental results
+// bit-identical to the batch recomputation, so caller tie-breaking is
+// unaffected.
 //
 // Integer range: the evaluation is exact while n·s·m < 2⁶³, i.e. for data
 // sets up to roughly two million records.
@@ -180,12 +183,14 @@ func (s *Space) levelCross(K, sz int64) int {
 }
 
 // Hist is the mutable empirical histogram of a cluster over a Space's bins.
-// The zero value is not usable; obtain one from Space.NewHist.
+// It stores only the occupied bins, so its memory is O(occupied bins)
+// regardless of the space's domain size m. The zero value is not usable;
+// obtain one from Space.NewHist.
 type Hist struct {
-	space  *Space
-	counts []int
-	size   int
-	occ    []int // sorted bins with counts > 0
+	space *Space
+	size  int
+	occ   []int // sorted bins with counts > 0
+	cnt   []int // cnt[i] is the (positive) count of bin occ[i]
 	// absDev caches the integer numerator Σ|dev(b)| of the current EMD
 	// (ordered: over b ∈ [0, m−1); nominal: over all bins). It is
 	// invalidated by any mutation and rebuilt lazily, so a burst of virtual
@@ -206,8 +211,8 @@ type Hist struct {
 }
 
 // histOfAddLimit is the cluster size up to which HistOf maintains the
-// occupied-bin list per insertion; larger clusters batch-fill the counts and
-// scan the bins once, which is cheaper than O(size) inserts.
+// occupied-bin list per insertion; larger clusters collect their bins in one
+// batch, which is cheaper than O(size) inserts.
 const histOfAddLimit = 64
 
 // occFlatFactor decides when the run-decomposition is abandoned for a flat
@@ -217,10 +222,13 @@ const occFlatFactor = 4
 
 // NewHist returns an empty cluster histogram over the space.
 func (s *Space) NewHist() *Hist {
-	return &Hist{space: s, counts: make([]int, s.m), crossSize: -1}
+	return &Hist{space: s, crossSize: -1}
 }
 
-// HistOf returns the histogram of the given record set.
+// HistOf returns the histogram of the given record set. Clusters covering a
+// large fraction of the domain count through a transient O(m) buffer; any
+// other batch sorts its bins. Either way the transient cost is O(size) and
+// the histogram O(occupied bins).
 func (s *Space) HistOf(records []int) *Hist {
 	h := s.NewHist()
 	if len(records) <= histOfAddLimit {
@@ -229,14 +237,32 @@ func (s *Space) HistOf(records []int) *Hist {
 		}
 		return h
 	}
-	for _, r := range records {
-		h.counts[s.binOf[r]]++
-	}
 	h.size = len(records)
-	for b, c := range h.counts {
-		if c > 0 {
-			h.occ = append(h.occ, b)
+	if len(records)*occFlatFactor >= s.m {
+		counts := make([]int, s.m)
+		for _, r := range records {
+			counts[s.binOf[r]]++
 		}
+		for b, c := range counts {
+			if c > 0 {
+				h.occ = append(h.occ, b)
+				h.cnt = append(h.cnt, c)
+			}
+		}
+		return h
+	}
+	bins := make([]int, len(records))
+	for i, r := range records {
+		bins[i] = s.binOf[r]
+	}
+	sort.Ints(bins)
+	for i, b := range bins {
+		if i > 0 && b == bins[i-1] {
+			h.cnt[len(h.cnt)-1]++
+			continue
+		}
+		h.occ = append(h.occ, b)
+		h.cnt = append(h.cnt, 1)
 	}
 	return h
 }
@@ -244,24 +270,44 @@ func (s *Space) HistOf(records []int) *Hist {
 // Size returns the number of records currently in the histogram.
 func (h *Hist) Size() int { return h.size }
 
-func (h *Hist) addBin(b int) {
-	if h.counts[b] == 0 {
-		i := sort.SearchInts(h.occ, b)
-		h.occ = append(h.occ, 0)
-		copy(h.occ[i+1:], h.occ[i:])
-		h.occ[i] = b
+// find returns the index of bin b in occ, or the index it would be
+// inserted at and false when b is unoccupied.
+func (h *Hist) find(b int) (int, bool) {
+	i := sort.SearchInts(h.occ, b)
+	return i, i < len(h.occ) && h.occ[i] == b
+}
+
+// count returns the number of records in bin b. O(log occ).
+func (h *Hist) count(b int) int {
+	if i, ok := h.find(b); ok {
+		return h.cnt[i]
 	}
-	h.counts[b]++
+	return 0
+}
+
+func (h *Hist) addBin(b int) {
+	i, ok := h.find(b)
+	if ok {
+		h.cnt[i]++
+		return
+	}
+	h.occ = append(h.occ, 0)
+	copy(h.occ[i+1:], h.occ[i:])
+	h.occ[i] = b
+	h.cnt = append(h.cnt, 0)
+	copy(h.cnt[i+1:], h.cnt[i:])
+	h.cnt[i] = 1
 }
 
 func (h *Hist) removeBin(b int) {
-	if h.counts[b] == 0 {
+	i, ok := h.find(b)
+	if !ok {
 		panic(fmt.Sprintf("emd: removing record from empty bin %d", b))
 	}
-	h.counts[b]--
-	if h.counts[b] == 0 {
-		i := sort.SearchInts(h.occ, b)
+	h.cnt[i]--
+	if h.cnt[i] == 0 {
 		h.occ = append(h.occ[:i], h.occ[i+1:]...)
+		h.cnt = append(h.cnt[:i], h.cnt[i+1:]...)
 	}
 }
 
@@ -286,7 +332,7 @@ func (h *Hist) Remove(rec int) {
 func (h *Hist) Swap(out, in int) {
 	ob, ib := h.space.binOf[out], h.space.binOf[in]
 	if ob == ib {
-		if h.counts[ob] == 0 {
+		if h.count(ob) == 0 {
 			panic(fmt.Sprintf("emd: removing record from empty bin %d", ob))
 		}
 		return
@@ -302,27 +348,25 @@ func (h *Hist) Merge(other *Hist) {
 	if h.space != other.space {
 		panic("emd: merging histograms over different spaces")
 	}
-	merged := make([]int, 0, len(h.occ)+len(other.occ))
+	occ := make([]int, 0, len(h.occ)+len(other.occ))
+	cnt := make([]int, 0, len(h.occ)+len(other.occ))
 	i, j := 0, 0
 	for i < len(h.occ) && j < len(other.occ) {
 		switch {
 		case h.occ[i] < other.occ[j]:
-			merged = append(merged, h.occ[i])
+			occ, cnt = append(occ, h.occ[i]), append(cnt, h.cnt[i])
 			i++
 		case h.occ[i] > other.occ[j]:
-			merged = append(merged, other.occ[j])
+			occ, cnt = append(occ, other.occ[j]), append(cnt, other.cnt[j])
 			j++
 		default:
-			merged = append(merged, h.occ[i])
+			occ, cnt = append(occ, h.occ[i]), append(cnt, h.cnt[i]+other.cnt[j])
 			i, j = i+1, j+1
 		}
 	}
-	merged = append(merged, h.occ[i:]...)
-	merged = append(merged, other.occ[j:]...)
-	h.occ = merged
-	for _, b := range other.occ {
-		h.counts[b] += other.counts[b]
-	}
+	occ, cnt = append(occ, h.occ[i:]...), append(cnt, h.cnt[i:]...)
+	occ, cnt = append(occ, other.occ[j:]...), append(cnt, other.cnt[j:]...)
+	h.occ, h.cnt = occ, cnt
 	h.size += other.size
 	h.absDevOK = false
 }
@@ -331,9 +375,9 @@ func (h *Hist) Merge(other *Hist) {
 func (h *Hist) Clone() *Hist {
 	return &Hist{
 		space:     h.space,
-		counts:    append([]int(nil), h.counts...),
 		size:      h.size,
 		occ:       append([]int(nil), h.occ...),
+		cnt:       append([]int(nil), h.cnt...),
 		absDev:    h.absDev,
 		absDevOK:  h.absDevOK,
 		cross:     append([]int(nil), h.cross...),
@@ -412,8 +456,8 @@ func (h *Hist) tvAbsDev() int64 {
 	s := h.space
 	n64, sz := int64(s.n), int64(h.size)
 	var total, qcOcc int64
-	for _, b := range h.occ {
-		total += abs64(n64*int64(h.counts[b]) - sz*int64(s.qCounts[b]))
+	for i, b := range h.occ {
+		total += abs64(n64*int64(h.cnt[i]) - sz*int64(s.qCounts[b]))
 		qcOcc += int64(s.qCounts[b])
 	}
 	return total + sz*(n64-qcOcc)
@@ -427,12 +471,12 @@ func (h *Hist) absDevRuns() int64 {
 	var total int64
 	var K int64
 	p := 0
-	for _, b := range h.occ {
+	for i, b := range h.occ {
 		if b >= end {
 			break
 		}
 		total += h.runAbsSumLvl(p, b, K)
-		K += int64(h.counts[b])
+		K += int64(h.cnt[i])
 		p = b
 	}
 	total += h.runAbsSumLvl(p, end, K)
@@ -447,8 +491,12 @@ func (h *Hist) absDevFlat(outBin, inBin int, sz int64) int64 {
 	s := h.space
 	n64 := int64(s.n)
 	var C, total int64
+	i := 0 // next occupied bin, walked in step with b
 	for b := 0; b < s.m-1; b++ {
-		C += int64(h.counts[b])
+		if i < len(h.occ) && h.occ[i] == b {
+			C += int64(h.cnt[i])
+			i++
+		}
 		if b >= outBin && outBin >= 0 {
 			// prefix counts at and after outBin lose the removed record
 			C -= 1
@@ -525,7 +573,7 @@ func (h *Hist) tvSwap(ob, ib int) float64 {
 func (h *Hist) tvSwapNum(ob, ib int) int64 {
 	s := h.space
 	n64, sz := int64(s.n), int64(h.size)
-	co, ci := int64(h.counts[ob]), int64(h.counts[ib])
+	co, ci := int64(h.count(ob)), int64(h.count(ib))
 	delta := abs64(n64*(co-1)-sz*int64(s.qCounts[ob])) - abs64(n64*co-sz*int64(s.qCounts[ob])) +
 		abs64(n64*(ci+1)-sz*int64(s.qCounts[ib])) - abs64(n64*ci-sz*int64(s.qCounts[ib]))
 	return h.absDev + delta
@@ -537,8 +585,8 @@ func (h *Hist) tvVirtualFlat(outBin, inBin int, sz int64) float64 {
 	n64 := int64(s.n)
 	var total, qcOcc int64
 	seenOut, seenIn := false, false
-	for _, b := range h.occ {
-		c := int64(h.counts[b])
+	for i, b := range h.occ {
+		c := int64(h.cnt[i])
 		if b == outBin {
 			c--
 			seenOut = true
@@ -591,7 +639,7 @@ func (h *Hist) orderedSwapNum(ob, ib int) int64 {
 	i := 0
 	var K int64
 	for ; i < len(h.occ) && h.occ[i] <= lo; i++ {
-		K += int64(h.counts[h.occ[i]])
+		K += int64(h.cnt[i])
 	}
 	var base, swapped int64
 	p := lo
@@ -599,7 +647,7 @@ func (h *Hist) orderedSwapNum(ob, ib int) int64 {
 		b := h.occ[i]
 		base += h.runAbsSumLvl(p, b, K)
 		swapped += h.runAbsSumLvl(p, b, K+sigma)
-		K += int64(h.counts[b])
+		K += int64(h.cnt[i])
 		p = b
 	}
 	base += h.runAbsSumLvl(p, end, K)

@@ -1,6 +1,7 @@
 package emd
 
 import (
+	"math"
 	"testing"
 )
 
@@ -25,28 +26,96 @@ func fuzzValues(data []byte, max int) []float64 {
 	return vals
 }
 
-// FuzzHistIncremental drives a histogram through an arbitrary Add/Remove/
-// Swap walk and pins every step to the batch rebuild: EMD, AbsDev and
-// same-size swap queries must equal the from-scratch evaluation exactly.
+// fuzzHistValues decodes FuzzHistIncremental's value bytes. The first byte
+// is a mode: bit 0 selects an all-distinct domain (m = n, every record its
+// own bin, the Patient Discharge CHARGE regime) instead of fuzzValues' small
+// shared domain, and bit 1 selects the nominal distance. Up to 400 values
+// are kept, so batch HistOf builds (more than histOfAddLimit records) reach
+// both the counting and the sorting path.
+func fuzzHistValues(data []byte) (vals []float64, nominal bool) {
+	if len(data) == 0 {
+		return nil, false
+	}
+	mode, data := data[0], data[1:]
+	if mode&1 == 0 {
+		return fuzzValues(data, 400), mode&2 != 0
+	}
+	if len(data) > 400 {
+		data = data[:400]
+	}
+	vals = make([]float64, len(data))
+	for i, b := range data {
+		vals[i] = float64(b)*1000 + float64(i) // distinct: i < 1000
+	}
+	return vals, mode&2 != 0
+}
+
+// denseAbsDev is the exact integer deviation numerator (see Hist.AbsDev)
+// of the cluster with per-bin counts dense and the given size, evaluated by
+// a full walk over every bin — independent of Hist's sparse layout.
+func denseAbsDev(s *Space, dense []int, size int) int64 {
+	if s.m < 2 || size == 0 {
+		return 0
+	}
+	n64, sz := int64(s.n), int64(size)
+	var total int64
+	if s.nominal {
+		for b, c := range dense {
+			total += abs64(n64*int64(c) - sz*int64(s.qCounts[b]))
+		}
+		return total
+	}
+	var C int64
+	for b := 0; b < s.m-1; b++ {
+		C += int64(dense[b])
+		total += abs64(n64*C - sz*s.qcPref[b])
+	}
+	return total
+}
+
+// FuzzHistIncremental drives a histogram through an arbitrary walk of
+// Add/Remove, committed Swap, Merge and Clone steps, with virtual swap
+// queries in between, and pins every state to an oracle that shares nothing
+// with the histogram's sparse layout: a dense per-bin count vector kept by
+// the walk itself, the dense float reference (referenceEMD/referenceEMDSwap)
+// and the dense integer numerator (denseAbsDev). Ops are byte pairs (kind,
+// record).
 func FuzzHistIncremental(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 1, 2, 3})
-	f.Add([]byte{5, 5, 5, 9, 9, 0, 3, 3, 3, 3}, []byte{7, 7, 1, 0, 9, 4})
-	f.Add([]byte{200, 14, 14, 3}, []byte{2, 2, 2})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 0, 0, 1, 1, 0, 2, 3})
+	f.Add([]byte{0, 5, 5, 5, 9, 9, 0, 3, 3, 3, 3}, []byte{0, 7, 1, 7, 2, 1, 0, 0, 4, 9, 0, 4})
+	f.Add([]byte{2, 200, 14, 14, 3}, []byte{0, 2, 1, 2, 0, 2, 4, 1})
 	f.Fuzz(func(t *testing.T, valBytes, ops []byte) {
-		vals := fuzzValues(valBytes, 64)
+		vals, nominal := fuzzHistValues(valBytes)
 		if len(vals) < 2 {
 			return
 		}
-		s, err := NewSpace(vals)
+		var s *Space
+		var err error
+		if nominal {
+			s, err = NewNominalSpace(vals)
+		} else {
+			s, err = NewSpace(vals)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := len(vals)
 		in := make([]bool, n)
-		var rows []int
+		dense := make([]int, s.Bins())
+		size := 0
 		h := s.NewHist()
-		rebuildRows := func() []int {
-			out := make([]int, 0, len(rows))
+		add := func(r int) {
+			in[r] = true
+			dense[s.Bin(r)]++
+			size++
+		}
+		remove := func(r int) {
+			in[r] = false
+			dense[s.Bin(r)]--
+			size--
+		}
+		members := func() []int {
+			out := make([]int, 0, size)
 			for r := 0; r < n; r++ {
 				if in[r] {
 					out = append(out, r)
@@ -54,47 +123,110 @@ func FuzzHistIncremental(f *testing.F) {
 			}
 			return out
 		}
-		for _, op := range ops {
-			rec := int(op) % n
-			switch {
-			case !in[rec]:
-				h.Add(rec)
-				in[rec] = true
-			case len(rows) >= 0 && in[rec]:
-				// Before removing, exercise the virtual swap query against
-				// a batch rebuild with the swap applied.
-				other := (rec + 1 + int(op)/7) % n
-				if !in[other] {
-					got := h.EMDSwap(rec, other)
-					cur := rebuildRows()
-					swapped := make([]int, 0, len(cur))
-					for _, r := range cur {
-						if r != rec {
-							swapped = append(swapped, r)
-						}
-					}
-					swapped = append(swapped, other)
-					if want := s.EMDOf(swapped); got != want {
-						t.Fatalf("EMDSwap(%d,%d) = %v, batch rebuild = %v", rec, other, got, want)
-					}
-					gotNum := h.EMDSwapAbsDev(rec, other)
-					if want := s.HistOf(swapped).AbsDev(); gotNum != want {
-						t.Fatalf("EMDSwapAbsDev(%d,%d) = %d, batch rebuild = %d", rec, other, gotNum, want)
-					}
+		// nextOut returns the first non-member at or after r (cyclically),
+		// or -1 when every record is a member.
+		nextOut := func(r int) int {
+			for i := 0; i < n; i++ {
+				if c := (r + i) % n; !in[c] {
+					return c
 				}
-				h.Remove(rec)
-				in[rec] = false
 			}
-			rows = rebuildRows()
-			if got, want := h.EMD(), s.EMDOf(rows); got != want {
-				t.Fatalf("incremental EMD %v, batch %v (rows %v)", got, want, rows)
+			return -1
+		}
+		check := func(h *Hist, step int) {
+			t.Helper()
+			if h.Size() != size {
+				t.Fatalf("step %d: size %d, oracle %d", step, h.Size(), size)
 			}
-			if got, want := h.AbsDev(), s.HistOf(rows).AbsDev(); got != want {
-				t.Fatalf("incremental AbsDev %d, batch %d (rows %v)", got, want, rows)
+			for b, c := range dense {
+				if got := h.count(b); got != c {
+					t.Fatalf("step %d: bin %d count %d, oracle %d", step, b, got, c)
+				}
+			}
+			if got, want := h.EMD(), referenceEMD(h); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("step %d: EMD %v, dense reference %v", step, got, want)
+			}
+			want := denseAbsDev(s, dense, size)
+			if got := h.AbsDev(); got != want {
+				t.Fatalf("step %d: AbsDev %d, dense reference %d", step, got, want)
+			}
+			if got := s.HistOf(members()).AbsDev(); got != want {
+				t.Fatalf("step %d: HistOf AbsDev %d, dense reference %d", step, got, want)
 			}
 		}
+		for step := 0; step+1 < len(ops); step += 2 {
+			rec := int(ops[step+1]) % n
+			switch ops[step] % 5 {
+			case 0: // toggle membership
+				if in[rec] {
+					h.Remove(rec)
+					remove(rec)
+				} else {
+					h.Add(rec)
+					add(rec)
+				}
+			case 1: // virtual queries: same-size swap, add-only, remove-only
+				other := nextOut(rec)
+				if !in[rec] || other < 0 {
+					break
+				}
+				ob, ib := s.Bin(rec), s.Bin(other)
+				if got, want := h.EMDSwap(rec, other), referenceEMDSwap(h, ob, ib); math.Abs(got-want) > 1e-9 {
+					t.Fatalf("step %d: EMDSwap(%d,%d) %v, dense reference %v", step, rec, other, got, want)
+				}
+				if got, want := h.EMDSwap(-1, other), referenceEMDSwap(h, -1, ib); math.Abs(got-want) > 1e-9 {
+					t.Fatalf("step %d: EMDSwap(-1,%d) %v, dense reference %v", step, other, got, want)
+				}
+				if got, want := h.EMDSwap(rec, -1), referenceEMDSwap(h, ob, -1); math.Abs(got-want) > 1e-9 {
+					t.Fatalf("step %d: EMDSwap(%d,-1) %v, dense reference %v", step, rec, got, want)
+				}
+				dense[ob]--
+				dense[ib]++
+				want := denseAbsDev(s, dense, size)
+				dense[ob]++
+				dense[ib]--
+				if got := h.EMDSwapAbsDev(rec, other); got != want {
+					t.Fatalf("step %d: EMDSwapAbsDev(%d,%d) %d, dense reference %d", step, rec, other, got, want)
+				}
+			case 2: // committed swap
+				other := nextOut(rec)
+				if !in[rec] || other < 0 {
+					break
+				}
+				h.Swap(rec, other)
+				remove(rec)
+				add(other)
+			case 3: // merge a batch of non-members, large enough to reach HistOf's batch path
+				want := 1 + int(ops[step+1])%(2*histOfAddLimit)
+				var batch []int
+				for r := rec; len(batch) < want && r < rec+n; r++ {
+					if c := r % n; !in[c] {
+						batch = append(batch, c)
+					}
+				}
+				if len(batch) == 0 {
+					break
+				}
+				h.Merge(s.HistOf(batch))
+				for _, r := range batch {
+					add(r)
+				}
+			case 4: // clone, then mutate the clone only
+				c := h.Clone()
+				other := nextOut(rec)
+				if other < 0 {
+					h = c
+					break
+				}
+				c.Add(other)
+				check(h, step) // the original is unaffected
+				add(other)
+				h = c
+			}
+			check(h, step)
+		}
 		// Two-record closed form against the general path.
-		if n >= 2 {
+		if !nominal {
 			a, b := 0, n/2
 			got := s.TwoRecordAbsDev(s.Bin(a), s.Bin(b))
 			if want := s.HistOf([]int{a, b}).AbsDev(); got != want {

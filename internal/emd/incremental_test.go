@@ -3,6 +3,7 @@ package emd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func referenceEMDSwap(h *Hist, outBin, inBin int) float64 {
 	if s.nominal {
 		var total float64
 		for b := 0; b < s.m; b++ {
-			c := h.counts[b]
+			c := h.count(b)
 			if b == outBin {
 				c--
 			}
@@ -46,7 +47,7 @@ func referenceEMDSwap(h *Hist, outBin, inBin int) float64 {
 	}
 	var cum, total float64
 	for b := 0; b < s.m-1; b++ {
-		c := h.counts[b]
+		c := h.count(b)
 		if b == outBin {
 			c--
 		}
@@ -200,22 +201,44 @@ func TestSwapEquivalentToRemoveAdd(t *testing.T) {
 	}
 }
 
-// TestHistOfPathsAgree checks the insert-based and batch-fill HistOf
-// construction paths produce identical histograms across the size cutoff.
+// TestHistOfPathsAgree checks the insert-based and both batch HistOf
+// construction paths (counting when the cluster covers a large fraction of
+// the domain, sorting otherwise) produce identical histograms across the
+// size cutoff, on a small shared domain, a wide domain with collisions and
+// an all-distinct domain.
 func TestHistOfPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n := 400
-	s := randomSpace(t, rng, n, false)
-	for _, size := range []int{1, histOfAddLimit - 1, histOfAddLimit, histOfAddLimit + 1, 200, n} {
-		rows := rng.Perm(n)[:size]
-		batch := s.HistOf(rows)
-		incr := s.NewHist()
-		for _, r := range rows {
-			incr.Add(r)
+	n := 2000
+	wide := make([]float64, n)
+	distinct := make([]float64, n)
+	for i := range wide {
+		wide[i] = float64(rng.Intn(n / 2))
+		distinct[i] = float64(i)
+	}
+	spaces := []*Space{randomSpace(t, rng, 400, false)}
+	for _, vals := range [][]float64{wide, distinct} {
+		s, err := NewSpace(vals)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if batch.EMD() != incr.EMD() || batch.Size() != incr.Size() {
-			t.Fatalf("size %d: batch %v/%d vs incremental %v/%d",
-				size, batch.EMD(), batch.Size(), incr.EMD(), incr.Size())
+		spaces = append(spaces, s)
+	}
+	for si, s := range spaces {
+		for _, size := range []int{1, histOfAddLimit - 1, histOfAddLimit, histOfAddLimit + 1, 200, s.N() / 3, s.N()} {
+			rows := rng.Perm(s.N())[:size]
+			batch := s.HistOf(rows)
+			incr := s.NewHist()
+			for _, r := range rows {
+				incr.Add(r)
+			}
+			if !slices.Equal(batch.occ, incr.occ) || !slices.Equal(batch.cnt, incr.cnt) {
+				t.Fatalf("space %d size %d: batch bins %v/%v, incremental %v/%v",
+					si, size, batch.occ, batch.cnt, incr.occ, incr.cnt)
+			}
+			if batch.EMD() != incr.EMD() || batch.Size() != incr.Size() {
+				t.Fatalf("space %d size %d: batch %v/%d vs incremental %v/%d",
+					si, size, batch.EMD(), batch.Size(), incr.EMD(), incr.Size())
+			}
 		}
 	}
 }

@@ -250,10 +250,11 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 	}
 
 	// One reusable scratch histogram per confidential space computes every
-	// per-cluster EMD of the repair in O(rows·log m) incremental updates —
-	// allocating a fresh O(m) histogram per cluster, as the cold merge
-	// machinery can afford to, would cost more than the entire repair on
-	// high-cardinality confidential attributes.
+	// per-cluster EMD of the repair in O(rows·log m) incremental updates, so
+	// the repair allocates no per-cluster histograms. Histograms are
+	// O(occupied bins), so what this saves over the cold merge machinery's
+	// one-histogram-per-cluster layout is allocation churn, not domain-sized
+	// buffers.
 	scratch := make(histSet, len(p.spaces))
 	for i, s := range p.spaces {
 		scratch[i] = s.NewHist()
@@ -351,11 +352,12 @@ func (hs histSet) emdOf(rows []int) float64 {
 // scratch histogram: identical policy (pop the worst-EMD cluster, merge it
 // with the QI-centroid-nearest live cluster, tie-breaking on the same
 // (value, index) keys), but cluster EMDs come from incremental scratch
-// passes instead of per-cluster O(m) histograms. A warm repair with no
-// violations therefore costs one pass over the rows — the cold mergeState,
-// built for runs that merge thousands of clusters, would spend more time
-// allocating histograms than the whole repair. It additionally returns the
-// partition's final maximum EMD (a byproduct of the bookkeeping).
+// passes instead of one retained histogram per cluster. A warm repair with
+// no violations therefore costs one pass over the rows and allocates no
+// histograms, where the cold mergeState, built for runs that merge
+// thousands of clusters, builds and keeps one O(occupied bins) histogram
+// per cluster up front. It additionally returns the partition's final
+// maximum EMD (a byproduct of the bookkeeping).
 func (p *problem) warmMergeUntilTClose(clusters [][]int, scratch histSet) ([]micro.Cluster, int, float64, error) {
 	n := len(clusters)
 	emds := make([]float64, n)
