@@ -213,7 +213,7 @@ type Result struct {
 func Anonymize(t *dataset.Table, cfg Config) (*Result, error) {
 	// Parameter validation precedes the substrate build so that invalid
 	// calls stay as cheap as they were before the engine existed.
-	if err := validateSpec(cfg); err != nil {
+	if err := ValidateSpec(cfg); err != nil {
 		return nil, err
 	}
 	eng, err := newEngine(t, false)
@@ -282,10 +282,6 @@ func ValidateSpec(spec Spec) error {
 	}
 	return nil
 }
-
-// validateSpec is the historical internal name; the exported ValidateSpec
-// is the single source of truth.
-func validateSpec(spec Spec) error { return ValidateSpec(spec) }
 
 // assess re-verifies the partition directly (rather than via the aggregated
 // table) so that identical centroids of two different clusters cannot mask a

@@ -324,7 +324,7 @@ func (e *Engine) runOpts(ctx context.Context, alg Algorithm) tclose.Run {
 // same records. Run is safe to call concurrently with other runs and with
 // Append.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	if err := validateSpec(spec); err != nil {
+	if err := ValidateSpec(spec); err != nil {
 		return nil, err
 	}
 	if ctx == nil {

@@ -66,6 +66,16 @@ func NewMatrix(points [][]float64) *Matrix {
 	return m
 }
 
+// MatrixOf adopts flat, row-major with dim values per row, as the backing
+// of a new Matrix without copying it. The caller hands the buffer over and
+// must not write it afterwards.
+func MatrixOf(flat []float64, dim int) *Matrix {
+	if dim == 0 || len(flat) == 0 {
+		return &Matrix{}
+	}
+	return &Matrix{data: flat, n: len(flat) / dim, dim: dim}
+}
+
 // AppendRowsCopy returns a new Matrix holding this matrix's rows followed
 // by tail, leaving the receiver untouched (epoch-style ingest: in-flight
 // queries over the old matrix stay valid). Tuning carries over; an enabled

@@ -61,13 +61,13 @@ func (prep *Prepared) Algorithm1Policy(run Run, k int, tLevel float64, part Part
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	merged, merges, err := p.mergeUntilTClosePolicy(clusters, policy)
+	merged, merges, maxEMD, err := p.mergeUntilTClosePolicy(clusters, policy)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Clusters:   merged,
-		MaxEMD:     p.maxEMD(merged),
+		MaxEMD:     maxEMD,
 		Merges:     merges,
 		EffectiveK: p.k,
 	}, nil
@@ -210,14 +210,17 @@ func (st *mergeState) popWorst() (int, float64) {
 }
 
 // mergeUntilTClose runs Algorithm 1's merging loop on an initial partition
-// and returns the resulting partition and the number of merges performed.
+// and returns the resulting partition, the number of merges performed and
+// the partition's maximum cluster EMD. It is the one finishing step of
+// every t-closeness-guaranteeing path: cold Algorithms 1 and 2, warm
+// repairs and shard reconciliation. The input clusters are not modified.
 // Cancellation is checked once per merge, so an abandoned run stops within
 // one merge step (O(#clusters) work).
-func (p *problem) mergeUntilTClose(clusters []micro.Cluster) ([]micro.Cluster, int, error) {
+func (p *problem) mergeUntilTClose(clusters []micro.Cluster) ([]micro.Cluster, int, float64, error) {
 	return p.mergeUntilTClosePolicy(clusters, MergeNearestQI)
 }
 
-func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergePolicy) ([]micro.Cluster, int, error) {
+func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergePolicy) ([]micro.Cluster, int, float64, error) {
 	st := &mergeState{
 		rows:     make([][]int, len(clusters)),
 		hists:    make([]histSet, len(clusters)),
@@ -230,7 +233,7 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 		st.rows[i] = append([]int(nil), c.Rows...)
 		st.hists[i] = p.newHistSet(c.Rows)
 		st.emds[i] = st.hists[i].emd()
-		st.centroid[i] = micro.Centroid(p.points, c.Rows)
+		st.centroid[i] = p.mat.CentroidRows(c.Rows, nil)
 		st.alive[i] = true
 		if st.emds[i] > 0 {
 			st.worst.push(worstEntry{emd: st.emds[i], idx: i})
@@ -239,7 +242,7 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 	merges := 0
 	for st.nAlive > 1 {
 		if err := p.interrupted(); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		// Cluster farthest from the data set distribution.
 		worst, worstEMD := st.popWorst()
@@ -289,12 +292,14 @@ func (p *problem) mergeUntilTClosePolicy(clusters []micro.Cluster, policy MergeP
 		p.reportProgress("merge", merges, 0)
 	}
 	out := make([]micro.Cluster, 0, st.nAlive)
+	maxEMD := 0.0
 	for i := range st.rows {
 		if st.alive[i] {
 			out = append(out, micro.Cluster{Rows: st.rows[i]})
+			maxEMD = max(maxEMD, st.emds[i])
 		}
 	}
-	return out, merges, nil
+	return out, merges, maxEMD, nil
 }
 
 // merge folds cluster b into cluster a and updates the cached centroid,

@@ -92,7 +92,7 @@ func referenceMergeUntilTClose(p *problem, clusters []micro.Cluster) ([]micro.Cl
 		st.rows[i] = append([]int(nil), c.Rows...)
 		st.hists[i] = p.newHistSet(c.Rows)
 		st.emds[i] = st.hists[i].emd()
-		st.centroid[i] = micro.Centroid(p.points, c.Rows)
+		st.centroid[i] = p.mat.CentroidRows(c.Rows, nil)
 		st.alive[i] = true
 	}
 	merges := 0
@@ -152,13 +152,16 @@ func TestMergeHeapMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clusters, err := micro.MDAV(p.points, tc.k)
+		clusters, err := micro.MDAV(p.pointsCopy(), tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotClusters, gotMerges, err := p.mergeUntilTClose(clusters)
+		gotClusters, gotMerges, gotMaxEMD, err := p.mergeUntilTClose(clusters)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := p.maxEMD(gotClusters); gotMaxEMD != want {
+			t.Errorf("%s: returned max EMD %v, recomputed %v", tc.name, gotMaxEMD, want)
 		}
 		wantClusters, wantMerges := referenceMergeUntilTClose(p, clusters)
 		if gotMerges != wantMerges {

@@ -25,9 +25,9 @@ func referenceGenerateCluster(p *problem, x int, avail []int) (cluster []int, sw
 	}
 	cands := make([]int, len(avail))
 	copy(cands, avail)
-	px := p.points[x]
+	px := p.mat.Row(x)
 	sort.Slice(cands, func(i, j int) bool {
-		di, dj := micro.Dist2(p.points[cands[i]], px), micro.Dist2(p.points[cands[j]], px)
+		di, dj := micro.Dist2(p.mat.Row(cands[i]), px), micro.Dist2(p.mat.Row(cands[j]), px)
 		if di != dj {
 			return di < dj
 		}
@@ -81,7 +81,7 @@ func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
 	farthest := func(rows []int, q []float64) int {
 		best, bestD := -1, -1.0
 		for _, r := range rows {
-			if d := micro.Dist2(p.points[r], q); d > bestD {
+			if d := micro.Dist2(p.mat.Row(r), q); d > bestD {
 				best, bestD = r, d
 			}
 		}
@@ -90,7 +90,7 @@ func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
 	var clusters []micro.Cluster
 	swaps := 0
 	for len(avail) > 0 {
-		xa := micro.Centroid(p.points, avail)
+		xa := p.mat.CentroidRows(avail, nil)
 		x0 := farthest(avail, xa)
 		c, s := referenceGenerateCluster(p, x0, avail)
 		swaps += s
@@ -99,7 +99,7 @@ func referenceKAnonymityFirstPartition(p *problem) ([]micro.Cluster, int) {
 		if len(avail) == 0 {
 			break
 		}
-		x1 := farthest(avail, p.points[x0])
+		x1 := farthest(avail, p.mat.Row(x0))
 		c, s = referenceGenerateCluster(p, x1, avail)
 		swaps += s
 		avail = removeSorted(avail, c)
@@ -164,7 +164,7 @@ func TestAlgorithm2EndToEndMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			refPart, _ := referenceKAnonymityFirstPartition(p)
-			refMerged, _, err := p.mergeUntilTClose(refPart)
+			refMerged, _, _, err := p.mergeUntilTClose(refPart)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,10 +14,9 @@ import (
 )
 
 // Prepared is the reusable per-table substrate shared by the three
-// algorithms: the normalized quasi-identifier geometry (both the row-major
-// point slices of the public Partitioner interface and the flat
-// stride-indexed Matrix of the hot distance scans), one EMD space per
-// confidential attribute, the packed per-record confidential-bin
+// algorithms: the normalized quasi-identifier geometry (one flat
+// stride-indexed Matrix, which custom Partitioners receive a private
+// row-slice copy of), one EMD space per confidential attribute, the packed per-record confidential-bin
 // signatures, and lazily materialized derived state (the confidential
 // ranking, partition caches). Preparing once and running many (k, t)
 // parameter points against the same Prepared is the whole point of the
@@ -29,7 +28,6 @@ import (
 // immutable afterwards, and the lazy pieces are guarded internally.
 type Prepared struct {
 	table  *dataset.Table
-	points [][]float64
 	mat    *micro.Matrix
 	spaces []*emd.Space
 	norm   dataset.NormParams
@@ -98,6 +96,17 @@ func Prepare(t *dataset.Table) (*Prepared, error) {
 	if err := t.Schema().Validate(); err != nil {
 		return nil, err
 	}
+	norm := t.QINormParams()
+	dim := len(t.Schema().QuasiIdentifiers())
+	flat := make([]float64, t.Len()*dim)
+	t.NormalizeQIInto(flat, 0, t.Len(), norm)
+	return newPrepared(t, micro.MatrixOf(flat, dim), norm)
+}
+
+// newPrepared completes a substrate from its table and normalized matrix
+// (built under frame norm) — the one place EMD spaces and signatures are
+// built from scratch, shared by Prepare and Builder.Finish.
+func newPrepared(t *dataset.Table, mat *micro.Matrix, norm dataset.NormParams) (*Prepared, error) {
 	// Numeric (and ordinal, if encoded as numbers) confidential attributes
 	// use the paper's ordered-distance EMD; nominal categorical attributes
 	// use the equal-ground-distance (total variation) EMD, implementing the
@@ -118,17 +127,7 @@ func Prepare(t *dataset.Table) (*Prepared, error) {
 		}
 		spaces[i] = s
 	}
-	// QIMatrixTail(0, norm) is the full QIMatrix under an explicit frame,
-	// reusing the min-max pass instead of scanning the columns twice.
-	norm := t.QINormParams()
-	points := t.QIMatrixTail(0, norm)
-	p := &Prepared{
-		table:  t,
-		points: points,
-		mat:    micro.NewMatrix(points),
-		spaces: spaces,
-		norm:   norm,
-	}
+	p := &Prepared{table: t, mat: mat, spaces: spaces, norm: norm}
 	p.initSignatures()
 	return p, nil
 }
@@ -148,15 +147,12 @@ func (p *Prepared) Spaces() []*emd.Space { return p.spaces }
 // custom Partitioners, which are not bound to read-only use, so that a
 // writing partitioner can never corrupt the substrate shared by other runs.
 func (p *Prepared) pointsCopy() [][]float64 {
-	out := make([][]float64, len(p.points))
-	dim := 0
-	if len(p.points) > 0 {
-		dim = len(p.points[0])
-	}
-	flat := make([]float64, len(p.points)*dim)
-	for i, row := range p.points {
+	n, dim := p.mat.N(), p.mat.Dim()
+	out := make([][]float64, n)
+	flat := make([]float64, n*dim)
+	for i := range out {
 		dst := flat[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(dst, row)
+		copy(dst, p.mat.Row(i))
 		out[i] = dst
 	}
 	return out
@@ -241,34 +237,21 @@ func (p *Prepared) Extend(t *dataset.Table) (*Prepared, error) {
 	}
 	norm := t.QINormParams()
 	var mat *micro.Matrix
-	var points [][]float64
 	if norm.Equal(p.norm) {
 		// No appended value widened any quasi-identifier range: every old
 		// normalized row is unchanged, so only the tail is normalized.
 		mat = p.mat.AppendRowsCopy(t.QIMatrixTail(old, norm))
-		// The Partitioner interface hands points to arbitrary callers, so
-		// they must not alias the matrix backing (a writing partitioner
-		// would otherwise corrupt the shared matrix and its index cache) —
-		// same insulation the cold path gets from NewMatrix's copy.
-		points = make([][]float64, mat.N())
-		for i := range points {
-			points[i] = append([]float64(nil), mat.Row(i)...)
-		}
 	} else {
-		points = t.QIMatrix()
-		mat = micro.NewMatrix(points)
+		dim := p.mat.Dim()
+		flat := make([]float64, t.Len()*dim)
+		t.NormalizeQIInto(flat, 0, t.Len(), norm)
+		mat = micro.MatrixOf(flat, dim)
 		mat.SetTuning(p.mat.TuningOf())
 		if p.mat.IndexCacheEnabled() {
 			mat.EnableIndexCache()
 		}
 	}
-	out := &Prepared{
-		table:  t,
-		points: points,
-		mat:    mat,
-		spaces: spaces,
-		norm:   norm,
-	}
+	out := &Prepared{table: t, mat: mat, spaces: spaces, norm: norm}
 	out.initSignatures()
 	return out, nil
 }

@@ -12,9 +12,9 @@ import (
 // per-algorithm cluster loop runs independently inside each shard on the
 // internal/par pool, and a reconciliation pass repairs the privacy
 // properties along shard boundaries: undersized clusters fold into their
-// QI-nearest neighbor (k-anonymity), then the scratch-histogram finishing
-// merge of the warm-repair machinery restores t-closeness exactly as it
-// does for every cold run. k and t therefore hold exactly in the output;
+// QI-nearest neighbor (k-anonymity, the same fold pass warm repairs use),
+// then Algorithm 1's merge loop restores t-closeness exactly as it does
+// for every cold run. k and t therefore hold exactly in the output;
 // what the mode relaxes is bit-identity to the serial partition — cluster
 // shapes near shard boundaries depend on the shard count, so results vary
 // with the worker budget. Callers opt in explicitly (core.Spec.Sharded).
@@ -137,8 +137,13 @@ func (prep *Prepared) Algorithm1Sharded(run Run, k int, tLevel float64) (*Result
 	}
 	clusters := make([][]micro.Cluster, len(shards))
 	errs := make([]error, len(shards))
+	// Per-shard MDAV runs on a sub-matrix pinned to one worker: the
+	// fan-out is across shards. Shards smaller than 2k come back as a
+	// single cluster for the fold pass to absorb.
+	tun := p.mat.TuningOf()
+	tun.Workers = 1
 	par.Cells(len(shards), p.workers, func(i int) {
-		clusters[i], errs[i] = p.shardMDAV(shards[i])
+		clusters[i], errs[i] = p.mdavRows(shards[i], p.k, tun)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -148,42 +153,13 @@ func (prep *Prepared) Algorithm1Sharded(run Run, k int, tLevel float64) (*Result
 	return p.reconcileShards(clusters)
 }
 
-// shardMDAV partitions one shard with MDAV over a sub-matrix of the shard's
-// points (the WarmRepair split pass's pattern), mapping local rows back to
-// table rows. The sub-matrix keeps the parent's tuning except the worker
-// budget, pinned to 1: the fan-out is across shards. Shards smaller than 2k
-// come back as a single cluster for the fold pass to absorb.
-func (p *problem) shardMDAV(rows []int) ([]micro.Cluster, error) {
-	pts := make([][]float64, len(rows))
-	for j, r := range rows {
-		pts[j] = p.points[r]
-	}
-	sub := micro.NewMatrix(pts)
-	tun := p.mat.TuningOf()
-	tun.Workers = 1
-	sub.SetTuning(tun)
-	parts, err := micro.MDAVMatrixCtx(p.run.Ctx, sub, p.k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]micro.Cluster, len(parts))
-	for pi, part := range parts {
-		mapped := make([]int, len(part.Rows))
-		for j, lr := range part.Rows {
-			mapped[j] = rows[lr]
-		}
-		out[pi] = micro.Cluster{Rows: mapped}
-	}
-	return out, nil
-}
-
 // reconcileShards repairs the concatenated per-shard partitions into one
 // valid release: clusters that came out undersized (possible only from
 // degenerate shard sizes — the partition loops guarantee >= k otherwise)
-// fold into their QI-nearest neighbor, then the scratch-histogram finishing
-// merge restores t-closeness with the same policy as every cold run.
-// Cluster order is shard order then per-shard extraction order, so the
-// result is deterministic for a fixed shard split.
+// fold into their QI-nearest neighbor (the warm repair's fold pass), then
+// Algorithm 1's merge loop restores t-closeness exactly as in every cold
+// run. Cluster order is shard order then per-shard extraction order, so
+// the result is deterministic for a fixed shard split.
 func (p *problem) reconcileShards(perShard [][]micro.Cluster) (*Result, error) {
 	var rows [][]int
 	for _, cs := range perShard {
@@ -191,60 +167,10 @@ func (p *problem) reconcileShards(perShard [][]micro.Cluster) (*Result, error) {
 			rows = append(rows, c.Rows)
 		}
 	}
-	alive := make([]bool, len(rows))
-	for i := range alive {
-		alive[i] = true
+	if _, err := p.foldUndersized(rows, p.k, nil); err != nil {
+		return nil, err
 	}
-	nAlive := len(rows)
-
-	// Fold pass, restarting from the lowest index after each fold (the
-	// WarmRepair policy): the undersized population is at most one cluster
-	// per degenerate shard, so the quadratic partner scan is over a handful
-	// of clusters.
-	for {
-		if err := p.interrupted(); err != nil {
-			return nil, err
-		}
-		small := -1
-		for i := range rows {
-			if alive[i] && len(rows[i]) < p.k {
-				small = i
-				break
-			}
-		}
-		if small < 0 || nAlive <= 1 {
-			break
-		}
-		sc := micro.Centroid(p.points, rows[small])
-		best, bestD := -1, 0.0
-		for j := range rows {
-			if !alive[j] || j == small {
-				continue
-			}
-			if d := micro.Dist2(sc, micro.Centroid(p.points, rows[j])); best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rows[best] = append(rows[best], rows[small]...)
-		alive[small] = false
-		rows[small] = nil
-		nAlive--
-	}
-
-	final := make([][]int, 0, nAlive)
-	for i := range rows {
-		if alive[i] {
-			final = append(final, rows[i])
-		}
-	}
-	scratch := make(histSet, len(p.spaces))
-	for i, s := range p.spaces {
-		scratch[i] = s.NewHist()
-	}
-	merged, merges, maxEMD, err := p.warmMergeUntilTClose(final, scratch)
+	merged, merges, maxEMD, err := p.mergeUntilTClose(liveClusters(rows))
 	if err != nil {
 		return nil, err
 	}

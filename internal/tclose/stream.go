@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/emd"
 	"repro/internal/micro"
 )
 
@@ -12,30 +11,28 @@ import (
 // batches — the out-of-core counterpart of Prepare. Feed it the chunks
 // of a stored dataset (dictionary deltas, value batches, tombstones) in
 // commit order and Finish returns a Prepared bit-identical to
-// Prepare(table-with-everything-applied): same table, same EMD spaces
-// (chained emd.Space.Extend is pinned bit-identical to a cold build),
-// same normalization frame (running min-max bounds reproduce the
-// whole-column scan exactly, including the NaN semantics), same
-// normalized matrix (rows are renormalized in place whenever a batch
-// widens a quasi-identifier's range, so the final frame covers every
-// row). Peak memory is the growing substrate plus one batch — never a
-// second copy of the raw table.
+// Prepare(table-with-everything-applied). Batches grow only the table and
+// the normalized quasi-identifier rows: running min-max bounds reproduce
+// the whole-column scan's normalization frame exactly (including the NaN
+// semantics), and rows are renormalized in place whenever a batch widens a
+// range, so the final frame covers every row. Finish hands the row buffer
+// to the matrix without copying it and builds the EMD spaces and
+// signatures once over the complete table, as Prepare does. Peak memory is
+// the finished substrate plus one batch — never a second copy of the raw
+// table or of any EMD space.
 //
 // Deletions invalidate the incremental state: a tombstone batch filters
 // the table and Finish falls back to a cold Prepare, mirroring how the
-// engine itself rebuilds on Delete. A Builder is single-use and not safe
-// for concurrent use.
+// engine itself rebuilds on Delete. A Builder is single-use (Finish hands
+// its buffers over) and not safe for concurrent use.
 type Builder struct {
-	table    *dataset.Table
-	qiCols   []int
-	confCols []int
+	table  *dataset.Table
+	qiCols []int
 
-	spaces []*emd.Space
-	los    []float64 // running raw bounds per quasi-identifier
-	his    []float64
-	norm   dataset.NormParams
-	flat   []float64 // normalized QI rows of every incorporated record
-	rows   int       // records incorporated into spaces/flat
+	los  []float64 // running raw bounds per quasi-identifier
+	his  []float64
+	norm dataset.NormParams
+	flat []float64 // normalized QI rows of every incorporated record
 
 	hint  int
 	dirty bool // a deletion invalidated the incremental substrate
@@ -53,10 +50,9 @@ func NewBuilder(schema *dataset.Schema, rowsHint int) (*Builder, error) {
 		return nil, err
 	}
 	b := &Builder{
-		table:    tbl,
-		qiCols:   schema.QuasiIdentifiers(),
-		confCols: schema.Confidentials(),
-		hint:     rowsHint,
+		table:  tbl,
+		qiCols: schema.QuasiIdentifiers(),
+		hint:   rowsHint,
 	}
 	b.los = make([]float64, len(b.qiCols))
 	b.his = make([]float64, len(b.qiCols))
@@ -77,10 +73,10 @@ func (b *Builder) ExtendDict(col int, labels []string) error {
 	return b.table.ExtendDict(col, labels)
 }
 
-// Append incorporates one batch of full-width columns: the table grows,
-// each confidential EMD space extends, and the batch rows are normalized
-// into the matrix backing — renormalizing every prior row first when the
-// batch widens a quasi-identifier's min-max range.
+// Append incorporates one batch of full-width columns: the table grows
+// and the batch rows are normalized into the matrix backing —
+// renormalizing every prior row first when the batch widens a
+// quasi-identifier's min-max range.
 func (b *Builder) Append(cols [][]float64) error {
 	old := b.table.Len()
 	if err := b.table.AppendColumnChunk(cols); err != nil {
@@ -90,36 +86,13 @@ func (b *Builder) Append(cols [][]float64) error {
 	if n == old || b.dirty {
 		return nil
 	}
-	for i, c := range b.confCols {
-		var (
-			s   *emd.Space
-			err error
-		)
-		if b.rows == 0 {
-			if b.table.Schema().Attr(c).Kind == dataset.Categorical {
-				s, err = emd.NewNominalSpace(b.table.ColumnView(c))
-			} else {
-				s, err = emd.NewSpace(b.table.ColumnView(c))
-			}
-		} else {
-			s, err = b.spaces[i].Extend(b.table.ColumnView(c)[old:])
-		}
-		if err != nil {
-			return fmt.Errorf("tclose: building EMD space for %q: %w",
-				b.table.Schema().Attr(c).Name, err)
-		}
-		if b.spaces == nil {
-			b.spaces = make([]*emd.Space, len(b.confCols))
-		}
-		b.spaces[i] = s
-	}
 	// Fold the batch into the running bounds with the exact comparison
 	// sequence of a whole-column scan (first value initializes, the rest
 	// compare), so the resulting frame is bit-identical even around NaN.
 	for j, c := range b.qiCols {
 		vals := b.table.ColumnView(c)[old:]
 		start := 0
-		if b.rows == 0 {
+		if old == 0 {
 			b.los[j], b.his[j] = vals[0], vals[0]
 			start = 1
 		}
@@ -140,14 +113,13 @@ func (b *Builder) Append(cols [][]float64) error {
 		b.flat = grown
 	}
 	b.flat = b.flat[:n*dim]
-	if b.rows == 0 || !norm.Equal(b.norm) {
+	if old == 0 || !norm.Equal(b.norm) {
 		// A widened range invalidates every previously normalized row.
 		b.table.NormalizeQIInto(b.flat, 0, n, norm)
 	} else {
 		b.table.NormalizeQIInto(b.flat[old*dim:], old, n, norm)
 	}
 	b.norm = norm
-	b.rows = n
 	return nil
 }
 
@@ -178,8 +150,7 @@ func (b *Builder) Delete(rowIDs []int) error {
 		b.table.Grow(b.hint)
 	}
 	b.dirty = true
-	b.spaces, b.flat = nil, nil
-	b.rows = b.table.Len()
+	b.flat = nil
 	return nil
 }
 
@@ -192,18 +163,7 @@ func (b *Builder) Finish() (*Prepared, error) {
 	if b.dirty {
 		return Prepare(b.table)
 	}
-	dim := len(b.qiCols)
-	points := make([][]float64, b.rows)
-	for i := range points {
-		points[i] = b.flat[i*dim : (i+1)*dim]
-	}
-	p := &Prepared{
-		table:  b.table,
-		points: points,
-		mat:    micro.NewMatrix(points),
-		spaces: b.spaces,
-		norm:   b.norm,
-	}
-	p.initSignatures()
-	return p, nil
+	flat := b.flat
+	b.flat = nil
+	return newPrepared(b.table, micro.MatrixOf(flat, len(b.qiCols)), b.norm)
 }

@@ -17,7 +17,10 @@
 //     t-closeness by construction without ever evaluating an EMD.
 //
 // All three return a Result whose Clusters field partitions the input table;
-// micro.Aggregate turns that partition into the anonymized release.
+// micro.Aggregate turns that partition into the anonymized release. Every
+// path that guarantees t-closeness — Algorithms 1 and 2, warm repairs
+// (WarmRepair) and sharded reconciliation — finishes with the same merge
+// loop (mergeUntilTClose).
 //
 // # Prepared substrate
 //
@@ -29,7 +32,10 @@
 // and cache the partitions that depend on fewer parameters than the full
 // (k, t) pair (MDAV per k, Algorithm 3 per effective cluster size). Both
 // paths produce bit-identical results; a Prepared is safe for concurrent
-// runs.
+// runs. The substrate holds the normalized quasi-identifiers once, as a
+// flat micro.Matrix; Prepare and Builder.Finish build the EMD spaces and
+// signatures through one constructor, and Prepared.Extend extends them
+// incrementally for epoch appends.
 //
 // # Performance
 //
@@ -95,8 +101,8 @@
 // frontier the seams above cannot touch — by splitting the table into
 // disjoint k-d shards (micro.Matrix.ShardRows), running the cluster loop
 // independently per shard, and reconciling the boundaries (undersized
-// clusters fold into their QI-nearest neighbor, then the scratch-histogram
-// finishing merge restores t). The output always satisfies k and t exactly,
+// clusters fold into their QI-nearest neighbor, then Algorithm 1's merge
+// loop restores t). The output always satisfies k and t exactly,
 // and is deterministic for a fixed worker budget, but is bit-identical to
 // the serial run only when the effective shard count is one (a one-worker
 // engine, or a table below the per-shard size floor, delegates to the
@@ -168,8 +174,8 @@ var (
 
 // problem is the per-run view of a Prepared substrate: the validated
 // parameters of one algorithm invocation plus the run-private scratch state
-// of the partition loops. The substrate itself (table, points, matrix, EMD
-// spaces, signatures) is shared read-only across concurrent runs; every
+// of the partition loops. The substrate itself (table, matrix, EMD spaces,
+// signatures) is shared read-only across concurrent runs; every
 // mutable piece lives here.
 type problem struct {
 	*Prepared

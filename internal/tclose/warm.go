@@ -3,11 +3,9 @@ package tclose
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/micro"
-	"repro/internal/par"
 )
 
 // WarmSeed is a previous epoch's partition mapped into the current epoch's
@@ -129,13 +127,14 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		cents := make([][]float64, len(rows))
+		dim := p.mat.Dim()
+		cents := make([]float64, len(rows)*dim)
 		for i, rs := range rows {
-			cents[i] = micro.Centroid(p.points, rs)
+			p.mat.CentroidRows(rs, cents[i*dim:(i+1)*dim])
 		}
-		cm := micro.NewMatrix(cents)
+		cm := micro.MatrixOf(cents, dim)
 		cm.SetTuning(p.mat.TuningOf())
-		idxs := make([]int, len(cents))
+		idxs := make([]int, len(rows))
 		for i := range idxs {
 			idxs[i] = i
 		}
@@ -156,53 +155,18 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 		stats.Assigned = len(newRows)
 	}
 
-	alive := make([]bool, len(rows))
-	for i := range alive {
-		alive[i] = true
-	}
-	nAlive := len(rows)
-
-	// Fold undersized clusters (deletion damage) into their QI-nearest live
-	// neighbor. The scan restarts from the lowest index after each fold —
-	// deterministic, and the undersized population is bounded by the number
-	// of clusters deletions touched, not the table.
-	for {
-		if err := p.interrupted(); err != nil {
-			return nil, nil, err
-		}
-		small := -1
-		for i := range rows {
-			if alive[i] && len(rows[i]) < effK {
-				small = i
-				break
-			}
-		}
-		if small < 0 || nAlive <= 1 {
-			break
-		}
-		sc := micro.Centroid(p.points, rows[small])
-		best, bestD := -1, 0.0
-		for j := range rows {
-			if !alive[j] || j == small {
-				continue
-			}
-			if d := micro.Dist2(sc, micro.Centroid(p.points, rows[j])); best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
+	// From here on an empty row set marks a cluster that no longer exists
+	// (folded away or dissolved into the repair pool).
+	folded, err := p.foldUndersized(rows, effK, func(small, into int) {
 		for _, r := range rows[small] {
 			touched[r] = true
 		}
-		rows[best] = append(rows[best], rows[small]...)
-		dirty[best] = true
-		alive[small] = false
-		rows[small] = nil
-		nAlive--
-		stats.Folded++
+		dirty[into] = true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	stats.Folded = folded
 
 	// Re-split clusters where assigned rows piled up — at least a full
 	// cluster's worth, and at least as many as the rows carried over — with
@@ -212,52 +176,25 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 	// assignments into one must not re-partition it, or a local repair
 	// would turn into a global rerun.
 	for i := 0; i < len(added); i++ {
-		if !alive[i] || added[i] < effK || added[i]*2 < len(rows[i]) || len(rows[i]) < 2*effK {
+		if added[i] < effK || added[i]*2 < len(rows[i]) || len(rows[i]) < 2*effK {
 			continue
 		}
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		members := rows[i]
-		pts := make([][]float64, len(members))
-		for j, r := range members {
-			pts[j] = p.points[r]
-		}
-		sub := micro.NewMatrix(pts)
-		sub.SetTuning(p.mat.TuningOf())
-		parts, err := micro.MDAVMatrixCtx(p.run.Ctx, sub, effK)
+		parts, err := p.mdavRows(rows[i], effK, p.mat.TuningOf())
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, r := range members {
+		for _, r := range rows[i] {
 			touched[r] = true
 		}
-		for pi, part := range parts {
-			mapped := make([]int, len(part.Rows))
-			for j, lr := range part.Rows {
-				mapped[j] = members[lr]
-			}
-			if pi == 0 {
-				rows[i] = mapped
-			} else {
-				rows = append(rows, mapped)
-				dirty = append(dirty, true)
-				alive = append(alive, true)
-				nAlive++
-			}
+		rows[i] = parts[0].Rows
+		for _, part := range parts[1:] {
+			rows = append(rows, part.Rows)
+			dirty = append(dirty, true)
 		}
 		stats.Split++
-	}
-
-	// One reusable scratch histogram per confidential space computes every
-	// per-cluster EMD of the repair in O(rows·log m) incremental updates, so
-	// the repair allocates no per-cluster histograms. Histograms are
-	// O(occupied bins), so what this saves over the cold merge machinery's
-	// one-histogram-per-cluster layout is allocation churn, not domain-sized
-	// buffers.
-	scratch := make(histSet, len(p.spaces))
-	for i, s := range p.spaces {
-		scratch[i] = s.NewHist()
 	}
 
 	// Swap-based repair (the k-anonymity-first mode): dirty clusters still
@@ -269,19 +206,17 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 	if swapRepair && effK == p.k {
 		var pool []int
 		for i := range rows {
-			if !alive[i] || !dirty[i] {
+			if len(rows[i]) == 0 || !dirty[i] {
 				continue
 			}
 			if err := p.interrupted(); err != nil {
 				return nil, nil, err
 			}
-			if scratch.emdOf(rows[i]) <= p.t {
+			if p.clusterEMD(rows[i]) <= p.t {
 				continue
 			}
 			pool = append(pool, rows[i]...)
-			alive[i] = false
 			rows[i] = nil
-			nAlive--
 			stats.Repaired++
 		}
 		if len(pool) > 0 {
@@ -296,8 +231,6 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 			swaps = s
 			for _, c := range reclusters {
 				rows = append(rows, c.Rows)
-				alive = append(alive, true)
-				nAlive++
 			}
 		}
 	}
@@ -309,19 +242,11 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 	}
 
 	// The finishing merge loop restores the t-closeness guarantee over the
-	// whole partition with the same policy as every cold Algorithm 1/2 run
+	// whole partition with the same loop as every cold Algorithm 1/2 run
 	// (worst-EMD cluster merges with its QI-nearest neighbor): clean
 	// clusters whose EMD drifted over t under the shifted data set
-	// distribution are handled here too. It runs on the scratch histogram
-	// instead of per-cluster ones, so a repair with few or no violations
-	// costs one incremental pass over the rows.
-	final := make([][]int, 0, nAlive)
-	for i := range rows {
-		if alive[i] {
-			final = append(final, rows[i])
-		}
-	}
-	merged, merges, maxEMD, err := p.warmMergeUntilTClose(final, scratch)
+	// distribution are handled here too.
+	merged, merges, maxEMD, err := p.mergeUntilTClose(liveClusters(rows))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -334,107 +259,91 @@ func (prep *Prepared) WarmRepair(run Run, k int, tLevel float64, seed WarmSeed, 
 	}, stats, nil
 }
 
-// emdOf computes the maximum EMD of a record set across the scratch
-// histogram set, leaving the scratch empty again: O(rows·log m) incremental
-// updates with no per-call allocation.
-func (hs histSet) emdOf(rows []int) float64 {
-	for _, r := range rows {
-		hs.add(r)
+// liveClusters wraps the non-empty row sets of a repaired partition as
+// clusters, in index order.
+func liveClusters(rows [][]int) []micro.Cluster {
+	out := make([]micro.Cluster, 0, len(rows))
+	for _, rs := range rows {
+		if len(rs) > 0 {
+			out = append(out, micro.Cluster{Rows: rs})
+		}
 	}
-	d := hs.emd()
-	for _, r := range rows {
-		hs.remove(r)
-	}
-	return d
+	return out
 }
 
-// warmMergeUntilTClose is Algorithm 1's merge loop re-expressed over the
-// scratch histogram: identical policy (pop the worst-EMD cluster, merge it
-// with the QI-centroid-nearest live cluster, tie-breaking on the same
-// (value, index) keys), but cluster EMDs come from incremental scratch
-// passes instead of one retained histogram per cluster. A warm repair with
-// no violations therefore costs one pass over the rows and allocates no
-// histograms, where the cold mergeState, built for runs that merge
-// thousands of clusters, builds and keeps one O(occupied bins) histogram
-// per cluster up front. It additionally returns the partition's final
-// maximum EMD (a byproduct of the bookkeeping).
-func (p *problem) warmMergeUntilTClose(clusters [][]int, scratch histSet) ([]micro.Cluster, int, float64, error) {
-	n := len(clusters)
-	emds := make([]float64, n)
-	cents := make([][]float64, n)
-	alive := make([]bool, n)
-	nAlive := n
-	var worst worstHeap
-	for i, rows := range clusters {
-		emds[i] = scratch.emdOf(rows)
-		cents[i] = micro.Centroid(p.points, rows)
-		alive[i] = true
-		if emds[i] > p.t {
-			worst.push(worstEntry{emd: emds[i], idx: i})
+// foldUndersized folds every cluster smaller than minSize into the cluster
+// with the QI-nearest centroid, restarting the scan from the lowest index
+// after each fold, and returns the number of folds. Empty row sets are
+// absent clusters and are skipped; a folded cluster's set becomes empty.
+// The scan is deterministic, and its quadratic partner search stays cheap
+// because only deletion damage or degenerate shards leave clusters
+// undersized. onFold, when non-nil, sees each fold before it is applied.
+// Shared by warm repair and shard reconciliation.
+func (p *problem) foldUndersized(rows [][]int, minSize int, onFold func(small, into int)) (int, error) {
+	live := 0
+	for _, rs := range rows {
+		if len(rs) > 0 {
+			live++
 		}
 	}
-	merges := 0
-	for nAlive > 1 {
+	folds := 0
+	var sc, cj []float64
+	for {
 		if err := p.interrupted(); err != nil {
-			return nil, 0, 0, err
+			return 0, err
 		}
-		var w int
-		for {
-			if len(worst) == 0 {
-				w = -1
-				break
-			}
-			e := worst.pop()
-			if alive[e.idx] && emds[e.idx] == e.emd {
-				w = e.idx
+		small := -1
+		for i, rs := range rows {
+			if len(rs) > 0 && len(rs) < minSize {
+				small = i
 				break
 			}
 		}
-		if w < 0 {
-			break
+		if small < 0 || live <= 1 {
+			return folds, nil
 		}
-		eval := func(j int) float64 {
-			if !alive[j] || j == w {
-				return math.Inf(1)
+		sc = p.mat.CentroidRows(rows[small], sc)
+		best, bestD := -1, 0.0
+		for j, rs := range rows {
+			if len(rs) == 0 || j == small {
+				continue
 			}
-			return micro.Dist2(cents[w], cents[j])
+			cj = p.mat.CentroidRows(rs, cj)
+			if d := micro.Dist2(sc, cj); best < 0 || d < bestD {
+				best, bestD = j, d
+			}
 		}
-		workers := 1
-		if p.workers >= 2 && nAlive >= mergePartnerParMin {
-			workers = p.workers
+		if onFold != nil {
+			onFold(small, best)
 		}
-		closest := par.ArgminFloat64(len(clusters), workers, eval)
-		if closest < 0 || !alive[closest] || closest == w {
-			break
-		}
-		na, nb := float64(len(clusters[w])), float64(len(clusters[closest]))
-		clusters[w] = append(clusters[w], clusters[closest]...)
-		emds[w] = scratch.emdOf(clusters[w])
-		ca, cb := cents[w], cents[closest]
-		for j := range ca {
-			ca[j] = (ca[j]*na + cb[j]*nb) / (na + nb)
-		}
-		alive[closest] = false
-		clusters[closest] = nil
-		nAlive--
-		if emds[w] > p.t {
-			worst.push(worstEntry{emd: emds[w], idx: w})
-		}
-		merges++
-		p.reportProgress("merge", merges, 0)
+		rows[best] = append(rows[best], rows[small]...)
+		rows[small] = nil
+		live--
+		folds++
 	}
-	out := make([]micro.Cluster, 0, nAlive)
-	maxEMD := 0.0
-	for i, rows := range clusters {
-		if !alive[i] {
-			continue
-		}
-		out = append(out, micro.Cluster{Rows: rows})
-		if emds[i] > maxEMD {
-			maxEMD = emds[i]
+}
+
+// mdavRows partitions a row subset with MDAV over a sub-matrix of its
+// points under the given tuning, mapping local rows back to table rows.
+// Shared by the warm split pass and sharded Algorithm 1.
+func (p *problem) mdavRows(rows []int, k int, tun micro.Tuning) ([]micro.Cluster, error) {
+	dim := p.mat.Dim()
+	flat := make([]float64, len(rows)*dim)
+	for j, r := range rows {
+		copy(flat[j*dim:(j+1)*dim], p.mat.Row(r))
+	}
+	sub := micro.MatrixOf(flat, dim)
+	sub.SetTuning(tun)
+	parts, err := micro.MDAVMatrixCtx(p.run.Ctx, sub, k)
+	if err != nil {
+		return nil, err
+	}
+	for _, part := range parts {
+		for j, lr := range part.Rows {
+			part.Rows[j] = rows[lr]
 		}
 	}
-	return out, merges, maxEMD, nil
+	return parts, nil
 }
 
 // partitionPool is kAnonymityFirstPartition confined to a row subset: the
