@@ -369,20 +369,8 @@ func (hs histSet) emdSwap(out, in int) float64 {
 	return worst
 }
 
-func (hs histSet) add(rec int) {
-	for _, h := range hs {
-		h.Add(rec)
-	}
-}
-
-func (hs histSet) remove(rec int) {
-	for _, h := range hs {
-		h.Remove(rec)
-	}
-}
-
-// swap commits a record swap on every histogram; equivalent to
-// remove(out)+add(in) but keeps per-histogram cached geometry alive when
+// swap commits a record swap on every histogram; equivalent to removing
+// out and adding in, but keeps per-histogram cached geometry alive when
 // bins coincide.
 func (hs histSet) swap(out, in int) {
 	for _, h := range hs {

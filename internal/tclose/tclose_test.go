@@ -74,6 +74,21 @@ func TestResultSizes(t *testing.T) {
 	}
 }
 
+// add and remove update every histogram of the set by one record: the
+// step-by-step mutations the reference implementations and the swap
+// consistency check compare the optimized paths against.
+func (hs histSet) add(rec int) {
+	for _, h := range hs {
+		h.Add(rec)
+	}
+}
+
+func (hs histSet) remove(rec int) {
+	for _, h := range hs {
+		h.Remove(rec)
+	}
+}
+
 func TestHistSetSwapConsistency(t *testing.T) {
 	tbl := synth.Uniform(40, 2, 3)
 	p, err := newProblem(tbl, 2, 0.2)
