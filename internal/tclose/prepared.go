@@ -16,9 +16,9 @@ import (
 // Prepared is the reusable per-table substrate shared by the three
 // algorithms: the normalized quasi-identifier geometry (one flat
 // stride-indexed Matrix, which custom Partitioners receive a private
-// row-slice copy of), one EMD space per confidential attribute, the packed per-record confidential-bin
-// signatures, and lazily materialized derived state (the confidential
-// ranking, partition caches). Preparing once and running many (k, t)
+// row-slice copy of), one EMD space per confidential attribute, the packed
+// per-record confidential-bin signatures, and lazily materialized derived
+// state (the confidential ranking, partition caches). Preparing once and running many (k, t)
 // parameter points against the same Prepared is the whole point of the
 // engine API: a parameter sweep stops paying the O(n·log n) substrate
 // build — and, where a partition depends only on k, the partition itself —
@@ -97,10 +97,16 @@ func Prepare(t *dataset.Table) (*Prepared, error) {
 		return nil, err
 	}
 	norm := t.QINormParams()
+	return newPrepared(t, normalizedQI(t, norm), norm)
+}
+
+// normalizedQI normalizes every quasi-identifier row of t under frame norm
+// straight into the backing of a new Matrix.
+func normalizedQI(t *dataset.Table, norm dataset.NormParams) *micro.Matrix {
 	dim := len(t.Schema().QuasiIdentifiers())
 	flat := make([]float64, t.Len()*dim)
 	t.NormalizeQIInto(flat, 0, t.Len(), norm)
-	return newPrepared(t, micro.MatrixOf(flat, dim), norm)
+	return micro.MatrixOf(flat, dim)
 }
 
 // newPrepared completes a substrate from its table and normalized matrix
@@ -242,10 +248,7 @@ func (p *Prepared) Extend(t *dataset.Table) (*Prepared, error) {
 		// normalized row is unchanged, so only the tail is normalized.
 		mat = p.mat.AppendRowsCopy(t.QIMatrixTail(old, norm))
 	} else {
-		dim := p.mat.Dim()
-		flat := make([]float64, t.Len()*dim)
-		t.NormalizeQIInto(flat, 0, t.Len(), norm)
-		mat = micro.MatrixOf(flat, dim)
+		mat = normalizedQI(t, norm)
 		mat.SetTuning(p.mat.TuningOf())
 		if p.mat.IndexCacheEnabled() {
 			mat.EnableIndexCache()
